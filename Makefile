@@ -7,7 +7,7 @@ RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 # Tag stamped into the BENCH_*.json artifacts written by `make bench`.
 BENCH_TAG ?= PR10
 
-.PHONY: test lint test-crash bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-kernels bench-obs bench-history docs-check examples
+.PHONY: test lint test-crash bench-smoke perfbench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-kernels bench-obs bench-history docs-check examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -40,6 +40,18 @@ bench-smoke:
 	    benchmarks/bench_history_overhead.py \
 	    benchmarks/bench_fig4a_selectivity.py -q --benchmark-disable \
 	    -k "not speedup and not overhead"
+
+## repo benchmark harness smoke: every perfbench workload for 3 s, untraced
+## and traced; fails on a non-zero exit (for example when a function that
+## perfbench/layers.py wraps is renamed)
+perfbench-smoke:
+	for workload in job-adhoc job-served ingest; do \
+	    for trace in 0 1; do \
+	        echo "== $$workload trace=$$trace"; \
+	        $(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 3 \
+	            --trace $$trace || exit 1; \
+	    done; \
+	done
 
 ## morsel-driven parallel execution: speedup assertion (needs >= 2 CPU
 ## cores; the timing test self-skips on single-core hosts) plus timed runs

@@ -3,8 +3,7 @@
 Benchmark scale is deliberately small (the engine is pure Python): the IMDB
 dataset uses a small scale factor and the synthetic sweeps use reduced table
 sizes.  The *shape* of each figure — who wins and how the gap evolves with
-the swept parameter — is what these benchmarks reproduce; EXPERIMENTS.md
-records measured numbers at larger scales.
+the swept parameter — is what these benchmarks reproduce.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Examples::
 
 ``--quick`` shrinks every experiment (fewer groups, smaller tables, one
 repetition) so a full pass completes in a few minutes on a laptop; drop it
-for measurements closer to the defaults described in EXPERIMENTS.md.
+for measurements at the default scales.
 """
 
 from __future__ import annotations

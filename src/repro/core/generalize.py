@@ -12,14 +12,28 @@ AND/OR nodes folds children with the SQL truth tables.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from repro.core.implication import implied_truth_value
-from repro.core.predtree import PredicateTree, PredNode
+from repro.core.predtree import NOT, OR, ParentLink, PredicateTree, PredNode
 from repro.core.tags import Tag
+from repro.expr.ast import BooleanExpr
 from repro.expr.three_valued import FALSE, TRUE, UNKNOWN, TruthValue, scalar_and, scalar_not, scalar_or
 
 
-def _can_propagate(node: PredNode, parent: PredNode, assignments: dict[str, TruthValue]) -> bool:
+#: Memo of single-fact implication verdicts: ``(fact key, fact value, target
+#: key) -> TRUE / FALSE / None``.  One table serves one planning call (see
+#: :class:`~repro.core.tagmap.TagMapBuilder`); a verdict depends only on the
+#: two expressions and the value, so it never goes stale within that call.
+ImplicationTable = dict[tuple[str, TruthValue, str], "TruthValue | None"]
+
+#: ``(expression, key, value)`` of each base-predicate assignment of a tag.
+Fact = tuple[BooleanExpr, str, TruthValue]
+
+
+def _can_propagate(
+    value: TruthValue | None, link: ParentLink, assignments: dict[str, TruthValue]
+) -> bool:
     """The five propagation conditions of Algorithm 1 (3VL variant).
 
     (a) the parent is a NOT node;
@@ -28,45 +42,46 @@ def _can_propagate(node: PredNode, parent: PredNode, assignments: dict[str, Trut
     (d) the parent is an OR node and all children are FALSE or UNKNOWN;
     (e) the parent is an AND node and all children are TRUE or UNKNOWN.
     """
-    value = assignments.get(node.key)
     if value is None:
         return False
-    if parent.is_not:
+    _parent_key, kind, child_keys = link
+    if kind == NOT:
         return True
-    if parent.is_or and value is TRUE:
+    if kind == OR:
+        if value is TRUE:
+            return True
+        allowed = (FALSE, UNKNOWN)
+    elif value is FALSE:
         return True
-    if parent.is_and and value is FALSE:
-        return True
-    child_values = [assignments.get(child.key) for child in parent.children]
-    if parent.is_or and all(v in (FALSE, UNKNOWN) for v in child_values):
-        return True
-    if parent.is_and and all(v in (TRUE, UNKNOWN) for v in child_values):
-        return True
-    return False
+    else:
+        allowed = (TRUE, UNKNOWN)
+    for key in child_keys:
+        if assignments.get(key) not in allowed:
+            return False
+    return True
 
 
-def _do_propagate(node: PredNode, parent: PredNode, assignments: dict[str, TruthValue]) -> TruthValue:
+def _do_propagate(
+    value: TruthValue, link: ParentLink, assignments: dict[str, TruthValue]
+) -> TruthValue:
     """Compute and record the parent's assignment value."""
-    value = assignments[node.key]
-    if parent.is_not:
+    parent_key, kind, child_keys = link
+    if kind == NOT:
         result = scalar_not(value)
-    elif parent.is_or:
+    elif kind == OR:
         if value is TRUE:
             result = TRUE
         else:
             result = FALSE
-            for child in parent.children:
-                result = scalar_or(result, assignments.get(child.key, FALSE))
-    elif parent.is_and:
-        if value is FALSE:
-            result = FALSE
-        else:
-            result = TRUE
-            for child in parent.children:
-                result = scalar_and(result, assignments.get(child.key, TRUE))
-    else:  # pragma: no cover - parents are always NOT/AND/OR nodes
-        result = value
-    assignments[parent.key] = result
+            for key in child_keys:
+                result = scalar_or(result, assignments.get(key, FALSE))
+    elif value is FALSE:
+        result = FALSE
+    else:
+        result = TRUE
+        for key in child_keys:
+            result = scalar_and(result, assignments.get(key, TRUE))
+    assignments[parent_key] = result
     return result
 
 
@@ -96,36 +111,66 @@ def _topmost_assignments(
     return collected
 
 
+def tag_facts(tree: PredicateTree, assignments: Iterable[tuple[str, TruthValue]]) -> list[Fact]:
+    """The TRUE / FALSE base-predicate assignments among ``assignments``.
+
+    UNKNOWN assignments are left out: no value-level implication follows
+    from them.
+    """
+    leaves = tree.leaf_exprs
+    return [
+        (leaves[key], key, value)
+        for key, value in assignments
+        if value is not UNKNOWN and key in leaves
+    ]
+
+
+def implied_by_facts(
+    target: BooleanExpr, target_key: str, facts: list[Fact], table: ImplicationTable
+) -> TruthValue | None:
+    """Truth value of ``target`` forced by ``facts``, one table hit per fact.
+
+    Facts are tried in order and the first verdict wins, exactly as
+    :func:`~repro.core.implication.implied_truth_value` does over the whole
+    list; each single-fact verdict is computed once per table.
+    """
+    for fact, fact_key, value in facts:
+        triple = (fact_key, value, target_key)
+        try:
+            verdict = table[triple]
+        except KeyError:
+            verdict = table[triple] = implied_truth_value(target, ((fact, value),))
+        if verdict is not None:
+            return verdict
+    return None
+
+
 def _augment_with_implications(
-    tree: PredicateTree, assignments: dict[str, TruthValue]
+    tree: PredicateTree, assignments: dict[str, TruthValue], table: ImplicationTable
 ) -> set[str]:
     """Derive assignments for unassigned leaves via predicate implication.
 
     For example ``t.year > 2000 = T`` derives ``t.year > 1980 = T``.  Returns
     the set of keys that were added (used to keep them out of the final tag).
     """
-    facts = []
-    for key, value in assignments.items():
-        if key in tree:
-            expr = tree.expr_for(key)
-            if expr.is_base_predicate():
-                facts.append((expr, value))
+    facts = tag_facts(tree, assignments.items())
     if not facts:
         return set()
 
     derived: set[str] = set()
-    for leaf in tree.base_predicates():
-        leaf_key = leaf.key()
+    for leaf_key, leaf in tree.leaf_exprs.items():
         if leaf_key in assignments:
             continue
-        value = implied_truth_value(leaf, facts)
+        value = implied_by_facts(leaf, leaf_key, facts, table)
         if value is not None:
             assignments[leaf_key] = value
             derived.add(leaf_key)
     return derived
 
 
-def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
+def generalize_tag(
+    tree: PredicateTree, tag: Tag, implications: ImplicationTable | None = None
+) -> Tag:
     """Generalize ``tag`` against ``tree`` (Algorithm 1).
 
     Assignments to expressions that do not occur in the tree are preserved
@@ -133,27 +178,30 @@ def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
     Before propagation the tag is augmented with leaf assignments implied by
     value-level reasoning over comparison predicates (e.g. ``year > 2000``
     implies ``year > 1980``); those derived assignments drive propagation but
-    never appear in the resulting tag themselves.
+    never appear in the resulting tag themselves.  ``implications`` is an
+    implication table to read and extend (a throwaway one by default).
     """
     assignments: dict[str, TruthValue] = tag.as_dict()
     foreign = {key: value for key, value in assignments.items() if key not in tree}
-    derived_only = _augment_with_implications(tree, assignments)
+    derived_only = _augment_with_implications(
+        tree, assignments, {} if implications is None else implications
+    )
 
+    links = tree.parent_links
     fringe: deque[str] = deque(key for key in assignments if key in tree)
     enqueued = set(fringe)
     while fringe:
         key = fringe.popleft()
         enqueued.discard(key)
-        for instance in tree.instances(key):
-            parent = instance.parent
-            if parent is None:
-                continue
-            if _can_propagate(instance, parent, assignments):
-                previous = assignments.get(parent.key)
-                new_value = _do_propagate(instance, parent, assignments)
-                if previous != new_value and parent.key not in enqueued:
-                    fringe.append(parent.key)
-                    enqueued.add(parent.key)
+        value = assignments.get(key)
+        for link in links[key]:
+            if _can_propagate(value, link, assignments):
+                parent_key = link[0]
+                previous = assignments.get(parent_key)
+                new_value = _do_propagate(value, link, assignments)
+                if previous != new_value and parent_key not in enqueued:
+                    fringe.append(parent_key)
+                    enqueued.add(parent_key)
 
     result = _topmost_assignments(tree.root, assignments, derived_only)
     result.update(foreign)

@@ -43,6 +43,9 @@ class PlannerContext:
     predicate_tree: PredicateTree | None
     three_valued: bool = True
     naive_tags: bool = False
+    _tag_map_builder: TagMapBuilder | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def table_stats(self) -> dict[str, TableStats]:
@@ -107,10 +110,19 @@ class PlannerContext:
     # Helpers shared by the planners
     # ------------------------------------------------------------------ #
     def tag_map_builder(self) -> TagMapBuilder:
-        """A tag-map builder configured for this query."""
-        return TagMapBuilder(
-            self.predicate_tree, naive=self.naive_tags, three_valued=self.three_valued
-        )
+        """The tag-map builder of this planning call, configured for this query.
+
+        Every planner sharing this context (TCombined's four candidates, the
+        pull-up and push-down moves) gets the same builder, so a tag is
+        generalized and an implication derived once per query.  The builder's
+        memos live as long as the context, which ``Session.prepare`` drops
+        when planning ends: nothing of them reaches a cached plan.
+        """
+        if self._tag_map_builder is None:
+            self._tag_map_builder = TagMapBuilder(
+                self.predicate_tree, naive=self.naive_tags, three_valued=self.three_valued
+            )
+        return self._tag_map_builder
 
     def single_table_alias(self, expr: BooleanExpr) -> str | None:
         """The single alias referenced by ``expr``, or None when it spans tables."""

@@ -182,10 +182,14 @@ def _estimate_join(
     if tag_map is None or not tag_map.entries:
         return output
 
-    participating_left = {tag for tag, _ in tag_map.entries} & set(left_rows)
-    participating_right = {tag for _, tag in tag_map.entries} & set(right_rows)
-    left_total = sum(left_rows[tag] for tag in participating_left)
-    right_total = sum(right_rows[tag] for tag in participating_right)
+    # Sum in the dict order of the row maps, never in set order: float
+    # addition is not associative and a set of Tags iterates in an order
+    # that follows string hashing, so the total (and with it the plan
+    # choice) would change with PYTHONHASHSEED.
+    participating_left = tag_map.left_tags()
+    participating_right = tag_map.right_tags()
+    left_total = sum(rows for tag, rows in left_rows.items() if tag in participating_left)
+    right_total = sum(rows for tag, rows in right_rows.items() if tag in participating_right)
 
     unique_left = _estimate_unique(left_total, node.conditions, estimates, side="left")
     hash_build = params.f_hash_lookup * left_total + params.f_hash_build * unique_left

@@ -64,17 +64,52 @@ class PredNode:
         return f"PredNode({self.key})"
 
 
+#: Interior node kinds, as recorded in :attr:`PredicateTree.parent_links`.
+AND, OR, NOT = "and", "or", "not"
+
+#: ``(parent key, parent kind, keys of the parent's children)``.
+ParentLink = tuple[str, str, tuple[str, ...]]
+
+
+def _kind(node: PredNode) -> str:
+    """Kind of an interior node (every parent is an AND, OR or NOT node)."""
+    if node.is_and:
+        return AND
+    return OR if node.is_or else NOT
+
+
 class PredicateTree:
-    """Normalized predicate tree for one query's WHERE expression."""
+    """Normalized predicate tree for one query's WHERE expression.
+
+    The tree is immutable once built.  Besides the node instances it keeps
+    two derived indexes, computed here and never extended afterwards: tag
+    generalization reads them thousands of times per query.  Per-planning
+    memos live elsewhere (see :class:`~repro.core.tagmap.TagMapBuilder`), so
+    a cached plan holding the tree holds no planning state.
+    """
 
     def __init__(self, expr: BooleanExpr) -> None:
         self._expr = flatten(expr)
         self.root = self._build(self._expr, None)
         self._instances: dict[str, list[PredNode]] = {}
         self._expr_by_key: dict[str, BooleanExpr] = {}
+        #: Distinct base predicates by key, in first-occurrence order.
+        self.leaf_exprs: dict[str, BooleanExpr] = {}
         for node in self.walk():
             self._instances.setdefault(node.key, []).append(node)
             self._expr_by_key.setdefault(node.key, node.expr)
+            if node.is_leaf:
+                self.leaf_exprs.setdefault(node.key, node.expr)
+        #: Per key, the parent link of each instance that has a parent.
+        link_of = {
+            id(node): (node.key, _kind(node), tuple(child.key for child in node.children))
+            for node in self.walk()
+            if node.children
+        }
+        self.parent_links: dict[str, tuple[ParentLink, ...]] = {
+            key: tuple(link_of[id(node.parent)] for node in nodes if node.parent is not None)
+            for key, nodes in self._instances.items()
+        }
 
     def _build(self, expr: BooleanExpr, parent: PredNode | None) -> PredNode:
         node = PredNode(expr, parent)
@@ -123,20 +158,11 @@ class PredicateTree:
 
     def leaves(self) -> list[PredNode]:
         """Every base-predicate occurrence (with repeats), left-to-right."""
-        return [node for node in self._walk_in_order(self.root) if node.is_leaf]
+        return [node for node in self.walk() if node.is_leaf]
 
     def base_predicates(self) -> list[BooleanExpr]:
         """Distinct base predicates, in first-occurrence order."""
-        seen: dict[str, BooleanExpr] = {}
-        for node in self._walk_in_order(self.root):
-            if node.is_leaf:
-                seen.setdefault(node.key, node.expr)
-        return list(seen.values())
-
-    def _walk_in_order(self, node: PredNode) -> Iterator[PredNode]:
-        yield node
-        for child in node.children:
-            yield from self._walk_in_order(child)
+        return list(self.leaf_exprs.values())
 
     # ------------------------------------------------------------------ #
     # Structure queries used by tag-map construction and the benefit score

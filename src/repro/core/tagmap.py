@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
+from repro.core.generalize import (
+    ImplicationTable,
+    generalize_tag,
+    refutes_root,
+    satisfies_root,
+    tag_facts,
+)
 from repro.core.implication import implied_truth_value
 from repro.core.predtree import PredicateTree
 from repro.core.tags import Tag
@@ -111,6 +117,14 @@ class PlanTagAnnotations:
 class TagMapBuilder:
     """Builds tag maps for every operator of a logical plan.
 
+    A builder memoizes, for its tree, every tag it has generalized and every
+    single-fact implication verdict it has derived, so one builder can cost
+    many candidate plans of one query for the price of the distinct
+    generalizations.  The memos are planning state: a builder belongs to one
+    planning call (:meth:`~repro.core.planner.base.PlannerContext.\
+tag_map_builder`) and must not outlive it — a cached plan keeps its tree,
+    and memos there would grow with every candidate ever costed.
+
     Args:
         tree: the query's predicate tree.
         naive: use the naive strategy of Section 3.1 (no generalization, no
@@ -129,6 +143,8 @@ class TagMapBuilder:
         self.tree = tree
         self.naive = naive
         self.three_valued = three_valued
+        self._generalized: dict[Tag, Tag] = {}
+        self._implications: ImplicationTable = {}
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -163,7 +179,16 @@ class TagMapBuilder:
     def _generalize(self, tag: Tag) -> Tag:
         if self.naive or self.tree is None:
             return tag
-        return generalize_tag(self.tree, tag)
+        return self.generalized(tag)
+
+    def generalized(self, tag: Tag) -> Tag:
+        """``generalize_tag(tree, tag)``, computed once per distinct tag."""
+        try:
+            return self._generalized[tag]
+        except KeyError:
+            result = generalize_tag(self.tree, tag, self._implications)
+            self._generalized[tag] = result
+            return result
 
     def _refuted(self, tag: Tag) -> bool:
         if self.tree is None:
@@ -219,7 +244,7 @@ class TagMapBuilder:
             # Precept (2): skip slices whose tag already dominates the predicate.
             if self.tree.every_instance_has_assigned_ancestor(predicate_key, assigned_keys):
                 return None
-        if self._implied_by(in_tag, predicate) is not None:
+        if self._implied_by(in_tag, predicate, predicate_key) is not None:
             # The slice's tag already determines this predicate's outcome
             # through value-level implication (e.g. year > 2000 determines
             # year > 1980), so splitting it would not refine the selection.
@@ -236,19 +261,27 @@ class TagMapBuilder:
             return entry
         return entry
 
-    def _implied_by(self, in_tag: Tag, predicate: BooleanExpr):
-        """Truth value of ``predicate`` forced by the tag's base-predicate assignments."""
+    def _implied_by(self, in_tag: Tag, predicate: BooleanExpr, predicate_key: str):
+        """Truth value of ``predicate`` forced by the tag's base-predicate assignments.
+
+        Reads and extends the builder's implication table like
+        :func:`~repro.core.generalize.implied_by_facts`: facts in order, the
+        first verdict wins, each single-fact verdict derived once.  The loop
+        is spelled out here so the checker is looked up through this module,
+        as ``perfbench/layers.py`` expects when it counts implication calls.
+        """
         if self.tree is None:
             return None
-        facts = []
-        for key, value in in_tag.items():
-            if key in self.tree:
-                expr = self.tree.expr_for(key)
-                if expr.is_base_predicate():
-                    facts.append((expr, value))
-        if not facts:
-            return None
-        return implied_truth_value(predicate, facts)
+        table = self._implications
+        for fact, fact_key, value in tag_facts(self.tree, in_tag.items()):
+            triple = (fact_key, value, predicate_key)
+            try:
+                verdict = table[triple]
+            except KeyError:
+                verdict = table[triple] = implied_truth_value(predicate, ((fact, value),))
+            if verdict is not None:
+                return verdict
+        return None
 
     def _filter_output(self, in_tag: Tag, predicate_key: str, value) -> Tag | None:
         try:
@@ -297,7 +330,7 @@ class TagMapBuilder:
             projection.allowed = set(input_tags)
         else:
             for tag in input_tags:
-                generalized = generalize_tag(self.tree, tag)
+                generalized = self.generalized(tag)
                 if satisfies_root(self.tree, generalized):
                     projection.allowed.add(tag)
                 elif not refutes_root(self.tree, generalized, include_unknown=self.three_valued):

@@ -26,7 +26,7 @@ class Tag:
         items = {}
         if assignments:
             for key, value in assignments.items():
-                items[key] = TruthValue(value)
+                items[key] = value if value.__class__ is TruthValue else TruthValue(value)
         self._assignments: tuple[tuple[str, TruthValue], ...] = tuple(
             sorted(items.items())
         )

@@ -1,6 +1,8 @@
 """Unit tests for tag generalization (Algorithm 1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.generalize import (
     generalize_tag,
@@ -8,9 +10,12 @@ from repro.core.generalize import (
     root_assignment,
     satisfies_root,
 )
+from repro.core.implication import implied_truth_value
 from repro.core.predtree import PredicateTree
+from repro.core.tagmap import TagMapBuilder
 from repro.core.tags import Tag
-from repro.expr.builders import and_, col, lit, not_, or_
+from repro.expr.ast import Comparison
+from repro.expr.builders import and_, col, in_, lit, not_, or_
 from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
 
 
@@ -174,3 +179,91 @@ class TestForeignAssignments:
         tree = query1[0]
         foreign = Tag({"(z.col > 5)": TRUE})
         assert generalize_tag(tree, foreign).get("(z.col > 5)") is TRUE
+
+
+# --------------------------------------------------------------------------- #
+# The planning-scoped memo equals fresh generalization
+# --------------------------------------------------------------------------- #
+#: Leaves on two columns with small literals, so many of them imply or
+#: refute one another (``x > 3`` implies ``x > 1`` and refutes ``x = 0``).
+_LEAVES = st.one_of(
+    st.builds(
+        lambda column, op, value: Comparison(col("r", column), op, lit(value)),
+        st.sampled_from(["x", "y"]),
+        st.sampled_from([">", ">=", "<", "<=", "=", "!="]),
+        st.integers(min_value=0, max_value=4),
+    ),
+    st.builds(
+        lambda values: in_(col("r", "x"), sorted(values)),
+        st.sets(st.integers(min_value=0, max_value=4), min_size=1, max_size=3),
+    ),
+)
+
+
+@st.composite
+def _trees_with_duplicates(draw):
+    """A predicate tree whose subexpressions are often reused elsewhere."""
+    pool = draw(st.lists(_LEAVES, min_size=2, max_size=6))
+    for _step in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["and", "or", "not"]))
+        if kind == "not":
+            pool.append(not_(draw(st.sampled_from(pool))))
+            continue
+        children = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+        if len({child.key() for child in children}) < 2:
+            continue
+        pool.append((and_ if kind == "and" else or_)(*children))
+    children = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+    if len({child.key() for child in children}) < 2:
+        return PredicateTree(pool[-1])
+    return PredicateTree(or_(*children))
+
+
+@st.composite
+def _tree_and_tags(draw):
+    tree = draw(_trees_with_duplicates())
+    keys = tree.keys() + ["(z.foreign > 1)"]
+    assignment = st.dictionaries(
+        st.sampled_from(keys), st.sampled_from([TRUE, FALSE, UNKNOWN]), max_size=4
+    )
+    tags = [Tag(value) for value in draw(st.lists(assignment, min_size=1, max_size=8))]
+    return tree, tags
+
+
+class TestPlanningMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_tree_and_tags())
+    def test_memoized_generalization_equals_fresh_call(self, drawn):
+        tree, tags = drawn
+        builder = TagMapBuilder(tree)
+        # Each tag twice: the second lookup is served by the memo.
+        for tag in tags + tags:
+            assert builder.generalized(tag) == generalize_tag(tree, tag)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tree_and_tags())
+    def test_implication_table_equals_whole_fact_list(self, drawn):
+        tree, tags = drawn
+        builder = TagMapBuilder(tree)
+        for tag in tags + tags:
+            facts = [
+                (tree.expr_for(key), value)
+                for key, value in tag.items()
+                if key in tree and tree.expr_for(key).is_base_predicate()
+            ]
+            for leaf in tree.base_predicates():
+                expected = implied_truth_value(leaf, facts) if facts else None
+                assert builder._implied_by(tag, leaf, leaf.key()) is expected
+
+
+def test_prepared_plan_holds_no_planning_memo(paper_session, paper_query):
+    """Planning memos die with the planning call: the cached plan's tree has
+    exactly the attributes, and index sizes, of a freshly built tree."""
+    prepared = paper_session.prepare(paper_query, planner="tcombined")
+    planned = prepared.predicate_tree
+    fresh = PredicateTree(paper_query.predicate)
+    assert vars(planned).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        if isinstance(value, dict):
+            assert len(getattr(planned, name)) == len(value), name
+    assert not any(isinstance(value, TagMapBuilder) for value in vars(prepared).values())

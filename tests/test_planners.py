@@ -285,3 +285,46 @@ class TestPlannersEndToEnd:
             node for node in collect_filters(plan) if isinstance(node.child, JoinNode)
         ]
         assert any("godfather" in node.predicate.key() for node in filters_above_join)
+
+
+class TestPlanningWorkIsMemoized:
+    """Count guard: one planning call generalizes each (tree, tag) pair and
+    derives each (fact, value, leaf) implication at most once.  The counts
+    repeat exactly, so a lost memo fails here without timing anything."""
+
+    def test_tcombined_prepare_of_job_group_6(self, imdb_session, monkeypatch):
+        import repro.core.generalize as generalize_module
+        import repro.core.tagmap as tagmap_module
+        from repro.workloads.job import job_query
+
+        generalized: list[tuple[int, object]] = []
+        implied: list[tuple[str, object, str]] = []
+        original_generalize = tagmap_module.generalize_tag
+
+        def counting_generalize(tree, tag, *args):
+            generalized.append((id(tree), tag))
+            return original_generalize(tree, tag, *args)
+
+        def counting_implication(original):
+            def wrapper(target, facts):
+                facts = list(facts)
+                assert len(facts) == 1
+                (fact, value), = facts
+                implied.append((fact.key(), value, target.key()))
+                return original(target, facts)
+
+            return wrapper
+
+        monkeypatch.setattr(tagmap_module, "generalize_tag", counting_generalize)
+        for module in (generalize_module, tagmap_module):
+            monkeypatch.setattr(
+                module,
+                "implied_truth_value",
+                counting_implication(module.implied_truth_value),
+            )
+
+        imdb_session.prepare(job_query(6), planner="tcombined")
+
+        assert generalized and implied
+        assert len(set(generalized)) == len(generalized)
+        assert len(set(implied)) == len(implied)
