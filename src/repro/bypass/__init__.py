@@ -15,8 +15,9 @@ third execution model next to the traditional and tagged ones:
   (:mod:`repro.bypass.operators`);
 * the bypass **planner** reuses the TPushdown plan shape — the bypass
   technique always pushes predicates down (:mod:`repro.bypass.planner`);
-* the bypass **executor** interprets a logical plan over stream sets
-  (:mod:`repro.bypass.executor`).
+* bypass plans run through the unified physical layer
+  (``compile_plan("bypass", ...)`` in :mod:`repro.physical.compile`), whose
+  operators wrap the stream kernels.
 
 The crucial differences from tagged execution, which the paper calls out and
 which the ablation benchmarks measure, are preserved:
@@ -29,7 +30,6 @@ which the ablation benchmarks measure, are preserved:
    single shared table.
 """
 
-from repro.bypass.executor import BypassExecutor
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
@@ -40,7 +40,6 @@ from repro.bypass.planner import BypassPlan, BypassPlanner
 from repro.bypass.streams import BypassStream, StreamSet
 
 __all__ = [
-    "BypassExecutor",
     "BypassFilterOperator",
     "BypassJoinOperator",
     "BypassProjectOperator",

@@ -72,7 +72,7 @@ from repro.bench import figures as bench_figures
 from repro.bench.report import format_table
 from repro.engine.session import ALL_PLANNERS, Session
 from repro.service import QueryService
-from repro.storage.disk import load_catalog, save_catalog
+from repro.storage.disk import CatalogFormatError, load_catalog, save_catalog
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
 from repro.testing.differential import DEFAULT_PLANNERS, run_fuzz_campaign
 from repro.workloads.imdb import generate_imdb_catalog
@@ -294,18 +294,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     session = _session_for(args)
     history = _history_for(args)
-    with QueryService(
+    with _service_for(
+        args,
         session,
+        history,
         plan_cache_size=args.cache_size,
         max_workers=args.workers,
         default_timeout=args.timeout,
-        feedback=args.feedback,
-        qerror_threshold=args.qerror_threshold,
-        slow_query_seconds=args.slow_query_seconds,
-        slow_query_sink=_slow_query_sink if args.slow_query_seconds is not None else None,
-        slow_query_log_path=args.slow_query_log,
-        slow_query_log_keep=args.slow_query_log_keep,
-        history=history,
     ) as service:
         report = service.execute_batch(statements, planner=args.planner)
         rows = []
@@ -343,6 +338,24 @@ def _slow_query_sink(record) -> None:
     print(f"slow query: {record.as_json()}", file=sys.stderr)
 
 
+def _service_for(args: argparse.Namespace, session: Session, history, **options) -> QueryService:
+    """The query service of ``batch``, ``serve`` and ``metrics``.
+
+    Applies the flags the three verbs share (feedback, slow-query
+    threshold) the same way for each; ``options`` are the verb's own
+    service settings.
+    """
+    return QueryService(
+        session,
+        feedback=args.feedback,
+        qerror_threshold=args.qerror_threshold,
+        slow_query_seconds=args.slow_query_seconds,
+        slow_query_sink=_slow_query_sink,
+        history=history,
+        **options,
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from time import perf_counter
 
@@ -356,17 +369,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "'\\quit' exits."
         )
     history = _history_for(args, default_memory=True)
-    with QueryService(
-        session,
-        plan_cache_size=args.cache_size,
-        feedback=args.feedback,
-        qerror_threshold=args.qerror_threshold,
-        slow_query_seconds=args.slow_query_seconds,
-        slow_query_sink=_slow_query_sink if args.slow_query_seconds is not None else None,
-        slow_query_log_path=args.slow_query_log,
-        slow_query_log_keep=args.slow_query_log_keep,
-        history=history,
-    ) as service:
+    with _service_for(args, session, history, plan_cache_size=args.cache_size) as service:
 
         def run_statement(statement: str) -> None:
             started = perf_counter()
@@ -556,16 +559,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         statements.extend(split_statements(sql))
     history = _history_for(args)
     if statements:
-        session = _session_for(args)
-        with QueryService(
-            session,
-            feedback=args.feedback,
-            qerror_threshold=args.qerror_threshold,
-            slow_query_seconds=args.slow_query_seconds,
-            slow_query_log_path=args.slow_query_log,
-            slow_query_log_keep=args.slow_query_log_keep,
-            history=history,
-        ) as service:
+        with _service_for(args, _session_for(args), history) as service:
             for statement in statements:
                 try:
                     service.execute(statement, planner=args.planner)
@@ -914,20 +908,6 @@ def _add_history_flags(parser: argparse.ArgumentParser) -> None:
         default=0.0,
         help="fraction of journaled query events carrying a full trace "
         "attachment (0 = never, 1 = always; requires --history-journal)",
-    )
-    parser.add_argument(
-        "--slow-query-log",
-        metavar="PATH",
-        default=None,
-        help="also write slow-query records (one JSON line each) to PATH, "
-        "rotated by size (requires --slow-query-seconds)",
-    )
-    parser.add_argument(
-        "--slow-query-log-keep",
-        type=int,
-        default=3,
-        metavar="N",
-        help="rotated slow-query log files kept (default 3)",
     )
 
 
@@ -1285,7 +1265,11 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CatalogFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

@@ -259,6 +259,43 @@ def execute_plan(
             query=query,
         )
 
+    return run_morsels(
+        kind,
+        plan,
+        catalog,
+        context,
+        all_partitions,
+        alias=alias,
+        annotations=annotations,
+        predicate_tree=predicate_tree,
+        three_valued=three_valued,
+        scan_candidates=scan_candidates,
+        parallelism=parallelism,
+    )
+
+
+def run_morsels(
+    kind: str,
+    plan,
+    catalog,
+    context: ExecContext,
+    partitions: list,
+    *,
+    alias: str,
+    annotations,
+    predicate_tree,
+    three_valued: bool,
+    scan_candidates: dict,
+    parallelism: int,
+) -> OutputColumns:
+    """Compile one physical tree per partition of ``alias`` and run them.
+
+    The morsel loop of both the in-process path (:func:`execute_plan`) and a
+    shard worker (:mod:`repro.engine.shard`).  Each morsel runs against a
+    forked context, on the process-wide pool when ``parallelism > 1``; the
+    children are absorbed and the outputs merged in partition order, so the
+    result and the counters do not depend on scheduling.
+    """
     morsels = [
         (
             partition,
@@ -274,7 +311,7 @@ def execute_plan(
                 scan_candidates=scan_candidates,
             ),
         )
-        for partition in all_partitions
+        for partition in partitions
     ]
 
     def run_morsel(partition, physical) -> tuple[OutputColumns, ExecContext]:

@@ -31,9 +31,10 @@ Design notes:
   ship only partition geometry, not gigabytes of columns.  Object identity
   implies data identity because mutation commits register *new* table
   objects.
-* **Metrics travel with results.**  Each worker runs its morsels against
-  forked :class:`~repro.engine.metrics.ExecContext` children (exactly like
-  the in-process driver) and returns the merged counters; the coordinator
+* **Metrics travel with results.**  Each worker runs its block through the
+  in-process driver's morsel loop (:func:`repro.engine.parallel.run_morsels`,
+  forked :class:`~repro.engine.metrics.ExecContext` children per morsel)
+  and returns the merged counters; the coordinator
   absorbs them through the same fork/absorb path, so ``--explain-analyze``,
   the feedback loop and all work counters keep working.  Page-cache
   hit/miss splits legitimately differ (each shard has a private cache) but
@@ -74,7 +75,7 @@ from repro.engine.partial_agg import (
 )
 from repro.engine.result import OutputColumns
 from repro.physical.batches import merge_output_columns
-from repro.physical.compile import compile_plan, plan_scan_aliases
+from repro.physical.compile import plan_scan_aliases
 from repro.storage.table import TablePartition
 
 #: Environment variable overriding the multiprocessing start method used for
@@ -172,7 +173,7 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
     ``trace_payload`` is the shipped span tree (plain data) when the spec
     asked for tracing, else ``None``.
     """
-    from repro.engine.parallel import _morsel_pool
+    from repro.engine.parallel import run_morsels
     from repro.mutation.snapshot import CatalogSnapshot
 
     spec = task.spec
@@ -193,54 +194,26 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
         tracer=tracer,
     )
     base_table = tables[spec.partition_table]
-    morsels = [
-        compile_plan(
-            spec.kind,
-            spec.plan,
-            catalog,
-            annotations=spec.annotations,
-            predicate_tree=spec.predicate_tree,
-            three_valued=spec.three_valued,
-            partition_alias=spec.partition_alias,
-            partition=TablePartition(
-                table=base_table, index=index, start=start, stop=stop
-            ),
-            scan_candidates=spec.scan_candidates,
-        )
+    partitions = [
+        TablePartition(table=base_table, index=index, start=start, stop=stop)
         for index, start, stop in task.ranges
     ]
 
-    def run_morsel(block_range, physical) -> tuple[OutputColumns, ExecContext]:
-        child = context.fork()
-        if child.tracer is not None:
-            _index, start, stop = block_range
-            with child.tracer.span("morsel", start_row=start, stop_row=stop):
-                output = physical.execute(child)
-        else:
-            output = physical.execute(child)
-        return output, child
-
     if tracer is not None:
         tracer.begin("shard", pid=os.getpid(), partitions=len(task.ranges))
-    if task.parallelism <= 1 or len(morsels) == 1:
-        outcomes = [
-            run_morsel(block_range, physical)
-            for block_range, physical in zip(task.ranges, morsels)
-        ]
-    else:
-        pool = _morsel_pool(min(task.parallelism, len(morsels)))
-        futures = [
-            pool.submit(run_morsel, block_range, physical)
-            for block_range, physical in zip(task.ranges, morsels)
-        ]
-        outcomes = [future.result() for future in futures]
-
-    outputs = []
-    for output, child in outcomes:
-        context.absorb(child)
-        context.metrics.morsels_executed += 1
-        outputs.append(output)
-    merged = merge_output_columns(outputs)
+    merged = run_morsels(
+        spec.kind,
+        spec.plan,
+        catalog,
+        context,
+        partitions,
+        alias=spec.partition_alias,
+        annotations=spec.annotations,
+        predicate_tree=spec.predicate_tree,
+        three_valued=spec.three_valued,
+        scan_candidates=spec.scan_candidates,
+        parallelism=task.parallelism,
+    )
     if tracer is not None:
         tracer.end(
             pages_read=context.iostats.pages_read,

@@ -45,17 +45,15 @@ serialize their writes too.
 
 from __future__ import annotations
 
-import json
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.instruments import publish_wal_commit
 from repro.obs.trace import ambient_span
 from repro.testing import faults
+from repro.utils.recordlog import frame, unframe
 
 #: WAL file name inside a dataset directory.
 WAL_NAME = "wal.log"
@@ -63,9 +61,7 @@ WAL_NAME = "wal.log"
 #: Advisory lock file name inside a dataset directory.
 LOCK_NAME = ".lock"
 
-#: Per-record frame: magic, payload length, payload crc32.
-_FRAME = struct.Struct("<4sII")
-
+#: The WAL's record magic (framing in :mod:`repro.utils.recordlog`).
 _MAGIC = b"RWAL"
 
 #: WAL format version written into header records.
@@ -169,32 +165,7 @@ def json_safe(value):
 
 def encode_record(payload: dict) -> bytes:
     """One framed WAL record for ``payload``."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _FRAME.pack(_MAGIC, len(body), zlib.crc32(body)) + body
-
-
-def _decode_record(data: bytes, offset: int) -> tuple[dict, int] | None:
-    """``(payload, end_offset)`` of the record at ``offset``, or None when the
-    bytes there are not one intact record (short, bad magic, bad checksum)."""
-    frame_end = offset + _FRAME.size
-    if frame_end > len(data):
-        return None
-    magic, length, crc = _FRAME.unpack_from(data, offset)
-    if magic != _MAGIC:
-        return None
-    end = frame_end + length
-    if end > len(data):
-        return None
-    body = data[frame_end:end]
-    if zlib.crc32(body) != crc:
-        return None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return payload, end
+    return frame(_MAGIC, payload)
 
 
 # --------------------------------------------------------------------------- #
@@ -250,7 +221,7 @@ def read_wal(root: str | Path) -> WalState | None:
         return None
     data = path.read_bytes()
 
-    decoded = _decode_record(data, 0)
+    decoded = unframe(_MAGIC, data, 0)
     if decoded is None:
         # Unreadable header: treat the whole file as a torn tail.
         return WalState(path, 0, [], 0, len(data), 0)
@@ -265,7 +236,7 @@ def read_wal(root: str | Path) -> WalState | None:
     valid_length = offset
     records = 1
     while offset < len(data):
-        decoded = _decode_record(data, offset)
+        decoded = unframe(_MAGIC, data, offset)
         if decoded is None:
             break  # torn record: everything from here on is tail
         payload, offset = decoded

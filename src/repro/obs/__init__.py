@@ -10,10 +10,10 @@ Cooperating pieces, all opt-in on the execution hot path:
   :class:`~repro.obs.registry.MetricsRegistry` of counters / gauges /
   histograms with Prometheus text exposition, fed by the standard
   instrument catalog in :mod:`repro.obs.instruments`;
-* :mod:`repro.obs.slowlog` — a structured
-  :class:`~repro.obs.slowlog.SlowQueryLog` armed by
-  ``QueryService(slow_query_seconds=...)``, with a size-rotated
-  :class:`~repro.obs.slowlog.RotatingFileSink`;
+* the slow-query log — ``QueryService(slow_query_seconds=...)`` counts
+  queries over the threshold, hands each one's
+  :class:`~repro.service.service.SlowQueryRecord` to a sink and journals
+  it as a ``slow_query`` event (:mod:`repro.obs.journal`);
 * :mod:`repro.obs.history` — the longitudinal layer: a per-fingerprint
   :class:`~repro.obs.history.QueryStatsStore`, the persistent checksummed
   :class:`~repro.obs.journal.EventJournal`, and the
@@ -38,7 +38,6 @@ from .registry import (
     MetricsRegistry,
     get_registry,
 )
-from .slowlog import RotatingFileSink, SlowQueryLog, SlowQueryRecord
 from .trace import Span, Tracer, ambient_span, current_tracer
 
 __all__ = [
@@ -52,9 +51,6 @@ __all__ = [
     "QueryStatsStore",
     "RegressionDetector",
     "RegressionEvent",
-    "RotatingFileSink",
-    "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "Tracer",
     "WorkloadHistory",

@@ -389,7 +389,7 @@ class WorkloadHistory:
             publish_journal_event()
 
     def record_slow_query(self, record) -> None:
-        """Route one :class:`~repro.obs.slowlog.SlowQueryRecord` to the journal."""
+        """Route one :class:`~repro.service.service.SlowQueryRecord` to the journal."""
         if self.journal is not None:
             self.journal.append("slow_query", **record.as_dict())
             publish_journal_event()

@@ -2,8 +2,8 @@
 
 The metrics registry and the stats store answer "what is happening *now*";
 the journal answers "what happened" — across restarts.  It is an append-only
-file of length-prefixed, crc32-checksummed JSON records (the exact framing
-discipline of the WAL, see :mod:`repro.mutation.wal`, under its own magic)
+file of length-prefixed, crc32-checksummed JSON records (the WAL's framing,
+:mod:`repro.utils.recordlog`, under its own magic)
 recording query finishes, plan-cache re-plans, slow queries, compactions,
 recoveries, write conflicts and detected plan regressions.
 
@@ -30,17 +30,13 @@ span tree on a fraction of traffic, without paying for tracing everywhere.
 
 from __future__ import annotations
 
-import json
 import random
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Per-record frame: magic, payload length, payload crc32 (same as the WAL).
-_FRAME = struct.Struct("<4sII")
+from repro.utils.recordlog import frame, unframe
 
 #: The journal's own magic — a WAL file is never mistaken for a journal.
 JOURNAL_MAGIC = b"REVJ"
@@ -50,33 +46,8 @@ JOURNAL_NAME = "history.journal"
 
 
 def encode_event(payload: dict) -> bytes:
-    """One framed journal record for ``payload``."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return _FRAME.pack(JOURNAL_MAGIC, len(body), zlib.crc32(body)) + body
-
-
-def _decode_event(data: bytes, offset: int) -> tuple[dict, int] | None:
-    """``(payload, end_offset)`` of the record at ``offset``, or None when the
-    bytes there are not one intact record (short, bad magic, bad checksum)."""
-    frame_end = offset + _FRAME.size
-    if frame_end > len(data):
-        return None
-    magic, length, crc = _FRAME.unpack_from(data, offset)
-    if magic != JOURNAL_MAGIC:
-        return None
-    end = frame_end + length
-    if end > len(data):
-        return None
-    body = data[frame_end:end]
-    if zlib.crc32(body) != crc:
-        return None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return payload, end
+    """One framed journal record for ``payload`` (keys sorted)."""
+    return frame(JOURNAL_MAGIC, payload, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -119,7 +90,7 @@ def scan_journal(path: str | Path) -> JournalScan:
     skipped = 0
     in_gap = False
     while offset < len(data):
-        decoded = _decode_event(data, offset)
+        decoded = unframe(JOURNAL_MAGIC, data, offset)
         if decoded is None:
             # Resynchronize on the next magic marker; count each contiguous
             # damaged stretch once.  No further marker = torn tail, stop.

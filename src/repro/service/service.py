@@ -36,10 +36,11 @@ Example::
 
 from __future__ import annotations
 
+import json
 import threading
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.engine.metrics import ExecutionMetrics, Stopwatch, aggregate_metrics
 from repro.engine.result import QueryResult
@@ -47,13 +48,6 @@ from repro.engine.session import PreparedPlan, Session
 from repro.obs import history as obs_history
 from repro.obs import instruments
 from repro.obs.history import WorkloadHistory, plan_hash_of
-from repro.obs.slowlog import (
-    DEFAULT_SLOW_LOG_KEEP,
-    DEFAULT_SLOW_LOG_MAX_BYTES,
-    RotatingFileSink,
-    SlowQueryLog,
-    SlowQueryRecord,
-)
 from repro.optimizer.feedback import DEFAULT_QERROR_THRESHOLD, FeedbackStore
 from repro.plan.query import Query
 from repro.kernels.config import resolve_tier, validate_tier
@@ -64,6 +58,35 @@ from repro.storage.catalog import Catalog
 
 #: Default number of worker threads used by batch execution.
 DEFAULT_MAX_WORKERS = 4
+
+
+@dataclass(frozen=True)
+class SlowQueryRecord:
+    """One query at or over the service's ``slow_query_seconds`` threshold.
+
+    Carries enough context to triage the query without re-running it with
+    tracing on; the same fields are journaled as the ``slow_query`` event.
+    """
+
+    fingerprint: str
+    planner: str
+    elapsed_seconds: float
+    planning_seconds: float
+    execution_seconds: float
+    rows: int
+    pages_read: int
+    pages_pruned: int
+    cache_hit: bool
+    kernel_tier: str | None
+    shards: int | None
+
+    def as_dict(self) -> dict:
+        """The record as a plain dictionary."""
+        return asdict(self)
+
+    def as_json(self) -> str:
+        """The record as a single-line JSON document (log-friendly)."""
+        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 @dataclass
@@ -175,19 +198,13 @@ class QueryService:
             knob addresses separate cache slots instead of mixing tiers.
         slow_query_seconds: arm the slow-query log — every query whose
             end-to-end latency (cache lookup / planning plus execution)
-            meets this threshold emits a structured
-            :class:`~repro.obs.slowlog.SlowQueryRecord` into
-            :attr:`slow_query_log` and to ``slow_query_sink``.  ``None``
-            (the default) disables the log entirely.
+            meets this threshold counts in ``repro_slow_queries_total``,
+            goes to ``slow_query_sink`` as a :class:`SlowQueryRecord`, and
+            is journaled as a ``slow_query`` event when a history is
+            attached.  ``None`` (the default) disables the log entirely.
         slow_query_sink: optional callable receiving each
-            :class:`~repro.obs.slowlog.SlowQueryRecord`; exceptions it
-            raises are swallowed (a broken sink never fails a query).
-        slow_query_log_path: additionally write each slow-query record as
-            one JSON line to this file through a size-rotating
-            :class:`~repro.obs.slowlog.RotatingFileSink` (composes with
-            ``slow_query_sink``; requires ``slow_query_seconds``).
-        slow_query_log_max_bytes / slow_query_log_keep: rotation size and
-            number of rotated files kept by the file sink.
+            :class:`SlowQueryRecord`; exceptions it raises are swallowed (a
+            broken sink never fails a query).
         history: a :class:`~repro.obs.history.WorkloadHistory` to feed with
             every execution served here (per-fingerprint statistics, the
             event journal, regression detection).  ``None`` falls back to
@@ -212,38 +229,18 @@ class QueryService:
         shards: int | None = None,
         slow_query_seconds: float | None = None,
         slow_query_sink=None,
-        slow_query_log_path=None,
-        slow_query_log_max_bytes: int = DEFAULT_SLOW_LOG_MAX_BYTES,
-        slow_query_log_keep: int = DEFAULT_SLOW_LOG_KEEP,
         history: WorkloadHistory | None = None,
     ) -> None:
         if isinstance(session, Catalog):
             session = Session(session)
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
+        if slow_query_seconds is not None and slow_query_seconds < 0:
+            raise ValueError("slow-query threshold must be >= 0")
         self.session = session
         self.history = history
-        sink = slow_query_sink
-        if slow_query_log_path is not None:
-            file_sink = RotatingFileSink(
-                slow_query_log_path,
-                max_bytes=slow_query_log_max_bytes,
-                keep=slow_query_log_keep,
-            )
-            if sink is None:
-                sink = file_sink
-            else:
-                user_sink = sink
-
-                def sink(record, _user=user_sink, _file=file_sink):
-                    _file(record)
-                    _user(record)
-
-        self.slow_query_log = (
-            SlowQueryLog(slow_query_seconds, sink=sink)
-            if slow_query_seconds is not None
-            else None
-        )
+        self.slow_query_seconds = slow_query_seconds
+        self.slow_query_sink = slow_query_sink
         self.parallelism = parallelism
         self.partitions = partitions
         self.shards = shards
@@ -400,8 +397,8 @@ class QueryService:
         )
         fingerprint = key if key is not None else f"<{result.planner_name}>"
         slow_record = None
-        log = self.slow_query_log
-        if log is not None and elapsed_seconds >= log.threshold_seconds:
+        threshold = self.slow_query_seconds
+        if threshold is not None and elapsed_seconds >= threshold:
             slow_record = SlowQueryRecord(
                 fingerprint=fingerprint,
                 planner=result.planner_name,
@@ -415,7 +412,13 @@ class QueryService:
                 kernel_tier=result.kernel_tier,
                 shards=self.shards,
             )
-            log.observe(slow_record)
+            instruments.publish_slow_query()
+            if self.slow_query_sink is not None:
+                try:
+                    self.slow_query_sink(slow_record)
+                except Exception:
+                    # A broken sink must never fail the query that tripped it.
+                    pass
         history = self._history()
         if history is not None:
             trace = result.trace.to_dict() if result.trace is not None else None

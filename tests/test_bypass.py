@@ -7,7 +7,6 @@ import pytest
 
 from repro import Catalog, Session, Table
 from repro.baseline.relation import Relation
-from repro.bypass.executor import BypassExecutor
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
@@ -22,6 +21,7 @@ from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.expr.builders import and_, col, lit, or_
 from repro.expr.three_valued import FALSE, TRUE
+from repro.physical.compile import compile_plan
 from repro.plan.query import Query
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog, make_dnf_query
 
@@ -285,16 +285,22 @@ class TestBypassPlannerAndExecutor:
     def test_executor_matches_paper_result(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
-        executor = BypassExecutor(paper_catalog, context.predicate_tree)
-        output = executor.execute(planned.plan, ExecContext())
+        physical = compile_plan(
+            "bypass", planned.plan, paper_catalog, predicate_tree=context.predicate_tree
+        )
+        output = physical.execute(ExecContext())
         assert output.row_count == len(PAPER_QUERY_MATCHES)
 
     def test_executor_rejects_plan_without_project_root(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
-        executor = BypassExecutor(paper_catalog, context.predicate_tree)
         with pytest.raises(ValueError, match="ProjectNode"):
-            executor.execute(planned.plan.child, ExecContext())
+            compile_plan(
+                "bypass",
+                planned.plan.child,
+                paper_catalog,
+                predicate_tree=context.predicate_tree,
+            ).execute(ExecContext())
 
     def test_session_bypass_planner(self, paper_session, paper_query_sql):
         result = paper_session.execute(paper_query_sql, planner="bypass")

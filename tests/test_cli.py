@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -245,3 +248,41 @@ class TestServe:
         )
         assert main(["serve", "--data", data]) == 0
         assert "[plan cache miss | " in capsys.readouterr().out
+
+
+class TestServiceVerbs:
+    @pytest.mark.parametrize("verb", ["batch", "metrics"])
+    def test_slow_query_seconds_prints_json_line(self, verb, paper_data_dir, capsys):
+        argv = [verb, "--data", paper_data_dir, "--sql", PAPER_SQL]
+        assert main(argv + ["--slow-query-seconds", "0"]) == 0
+        prefix = "slow query: "
+        lines = [
+            line[len(prefix):]
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith(prefix)
+        ]
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["planner"] == "tcombined"
+        assert record["rows"] == 4
+
+
+NO_CATALOG_ARGV = [
+    ["query", "--sql", PAPER_SQL],
+    ["explain", "--sql", PAPER_SQL],
+    ["compare", "--sql", PAPER_SQL],
+    ["batch", "--sql", PAPER_SQL],
+    ["serve"],
+    ["metrics", "--sql", PAPER_SQL],
+    ["table", "stats", "title"],
+    ["index", "list"],
+]
+
+
+@pytest.mark.parametrize("argv", NO_CATALOG_ARGV, ids=lambda argv: " ".join(argv[:2]))
+def test_missing_catalog_is_reported_not_raised(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(argv + ["--data", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: no catalog.json found in {tmp_path}" in err
+    assert "Traceback" not in err

@@ -7,7 +7,6 @@ Covers the `repro.obs.history` subsystem in units and through its seams:
   (unlike the WAL, whose replay must stop at a gap);
 * per-fingerprint statistics accumulation and the bucketed percentiles;
 * the regression detector's baseline/recent window logic;
-* the rotating slow-query file sink;
 * `QueryService` / bare `Session` feeding history exactly once per query
   (including the tmin delegation, which must not double count);
 * offline replay parity and the `repro history` / `repro top` /
@@ -36,7 +35,6 @@ from repro.obs.journal import (
     scan_journal,
 )
 from repro.obs.regress import RegressionDetector
-from repro.obs.slowlog import RotatingFileSink, SlowQueryRecord
 from repro.storage.disk import save_catalog
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
 
@@ -289,46 +287,6 @@ class TestRegressionDetector:
 
 
 # --------------------------------------------------------------------------- #
-# Rotating slow-query file sink
-# --------------------------------------------------------------------------- #
-def _slow_record(i: int) -> SlowQueryRecord:
-    return SlowQueryRecord(
-        fingerprint=f"fp{i}", planner="tcombined", elapsed_seconds=1.0,
-        planning_seconds=0.1, execution_seconds=0.9, rows=10, pages_read=5,
-        pages_pruned=0, cache_hit=False, kernel_tier="numpy", shards=None,
-    )
-
-
-class TestRotatingFileSink:
-    def test_writes_json_lines(self, tmp_path):
-        sink = RotatingFileSink(tmp_path / "slow.log")
-        sink(_slow_record(1))
-        sink(_slow_record(2))
-        lines = (tmp_path / "slow.log").read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["fingerprint"] == "fp1"
-
-    def test_rotation_keeps_bounded_set(self, tmp_path):
-        path = tmp_path / "slow.log"
-        record_size = len(_slow_record(0).as_json()) + 1
-        sink = RotatingFileSink(path, max_bytes=record_size * 2, keep=2)
-        for i in range(10):
-            sink(_slow_record(i))
-        files = sink.existing_files()
-        assert files == [path, sink.rotated_path(1), sink.rotated_path(2)]
-        assert not sink.rotated_path(3).exists()
-        # Newest records are in the live file, older ones shuffled up.
-        live = [json.loads(line)["fingerprint"] for line in path.read_text().splitlines()]
-        assert live[-1] == "fp9"
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            RotatingFileSink(tmp_path / "x", max_bytes=0)
-        with pytest.raises(ValueError):
-            RotatingFileSink(tmp_path / "x", keep=-1)
-
-
-# --------------------------------------------------------------------------- #
 # WorkloadHistory composition
 # --------------------------------------------------------------------------- #
 class TestWorkloadHistory:
@@ -424,15 +382,6 @@ class TestServiceIntegration:
         history.close()
         kinds = [e["kind"] for e in read_journal(tmp_path / "h.journal")]
         assert "slow_query" in kinds and "query" in kinds
-
-    def test_service_slow_query_log_path(self, catalog, tmp_path):
-        log_path = tmp_path / "slow.log"
-        with QueryService(Session(catalog), slow_query_seconds=0.0,
-                          slow_query_log_path=log_path) as service:
-            service.execute(SQL_SCAN)
-        lines = log_path.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["planner"] == "tcombined"
 
     def test_replan_recorded(self, catalog, tmp_path):
         history = WorkloadHistory(journal_path=tmp_path / "h.journal")

@@ -18,8 +18,9 @@ import pytest
 
 from repro import Catalog, QueryService, Session
 from repro.cli import main
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
+from repro.obs.registry import get_registry
 from repro.obs.trace import Span, Tracer, ambient_span, current_tracer
+from repro.service.service import SlowQueryRecord
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
 
 SQL = (
@@ -294,13 +295,48 @@ class TestExplainAnalyzeTiming:
 
 
 class TestSlowQueryLog:
-    def _record(self, elapsed: float) -> SlowQueryRecord:
-        return SlowQueryRecord(
+    """The service's slow-query threshold: counter, sink and record."""
+
+    def _slow_queries(self) -> float:
+        return get_registry().get("repro_slow_queries_total").value
+
+    def test_threshold_filters(self, catalog):
+        sunk = []
+        before = self._slow_queries()
+        with QueryService(
+            Session(catalog), slow_query_seconds=3600.0, slow_query_sink=sunk.append
+        ) as service:
+            service.execute(SQL)
+        assert sunk == []
+        with QueryService(
+            Session(catalog), slow_query_seconds=0.0, slow_query_sink=sunk.append
+        ) as service:
+            service.execute(SQL)
+        assert len(sunk) == 1
+        assert self._slow_queries() == before + 1
+
+    def test_negative_threshold_rejected(self, catalog):
+        with pytest.raises(ValueError):
+            QueryService(Session(catalog), slow_query_seconds=-1.0)
+
+    def test_broken_sink_never_fails_the_query(self, catalog):
+        def sink(record):
+            raise RuntimeError("sink down")
+
+        before = self._slow_queries()
+        with QueryService(
+            Session(catalog), slow_query_seconds=0.0, slow_query_sink=sink
+        ) as service:
+            assert service.execute(SQL).row_count > 0
+        assert self._slow_queries() == before + 1
+
+    def test_record_serializes_to_one_json_line(self):
+        record = SlowQueryRecord(
             fingerprint="abc",
             planner="tcombined",
-            elapsed_seconds=elapsed,
-            planning_seconds=elapsed / 2,
-            execution_seconds=elapsed / 2,
+            elapsed_seconds=1.0,
+            planning_seconds=0.5,
+            execution_seconds=0.5,
             rows=10,
             pages_read=4,
             pages_pruned=0,
@@ -308,33 +344,7 @@ class TestSlowQueryLog:
             kernel_tier="numpy",
             shards=None,
         )
-
-    def test_threshold_filters(self):
-        log = SlowQueryLog(0.5)
-        assert not log.observe(self._record(0.4))
-        assert log.observe(self._record(0.6))
-        assert len(log) == 1
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            SlowQueryLog(-1.0)
-
-    def test_capacity_keeps_newest(self):
-        log = SlowQueryLog(0.0, capacity=2)
-        for elapsed in (1.0, 2.0, 3.0):
-            log.observe(self._record(elapsed))
-        assert [r.elapsed_seconds for r in log.records] == [2.0, 3.0]
-
-    def test_broken_sink_never_fails_the_query(self):
-        def sink(record):
-            raise RuntimeError("sink down")
-
-        log = SlowQueryLog(0.0, sink=sink)
-        assert log.observe(self._record(1.0))
-        assert len(log) == 1
-
-    def test_record_serializes_to_one_json_line(self):
-        text = self._record(1.0).as_json()
+        text = record.as_json()
         assert "\n" not in text
         assert json.loads(text)["planner"] == "tcombined"
 
@@ -344,18 +354,20 @@ class TestSlowQueryLog:
             Session(catalog), slow_query_seconds=0.0, slow_query_sink=sunk.append
         ) as service:
             result = service.execute(SQL)
-        assert len(service.slow_query_log) == 1
-        (record,) = service.slow_query_log.records
-        assert sunk == [record]
+        (record,) = sunk
         assert record.rows == result.row_count
         assert record.planner == result.planner_name
         assert record.elapsed_seconds > 0.0
         assert record.pages_read == result.iostats.pages_read
 
     def test_service_without_threshold_has_no_log(self, catalog):
-        with QueryService(Session(catalog)) as service:
+        sunk = []
+        before = self._slow_queries()
+        with QueryService(Session(catalog), slow_query_sink=sunk.append) as service:
             service.execute(SQL)
-            assert service.slow_query_log is None
+            assert service.slow_query_seconds is None
+        assert sunk == []
+        assert self._slow_queries() == before
 
 
 class TestTraceCli:
